@@ -26,8 +26,6 @@ suggestions.  All simulation commands accept ``--jobs N`` to fan the
 evaluation grid's job units out over ``N`` worker processes (``1`` =
 serial, bit-identical to parallel runs), ``--cache-dir PATH`` to
 memoize job results on disk so repeated runs skip completed points,
-``--cache-backend {sharded,memory[:N],readthrough:PATH}`` to pick the
-cache storage stack (execution-only; every backend is bit-identical),
 and ``--engine {vectorized,reference}`` to select the timing-replay
 implementation (the batched fast path and the reference loop produce
 bit-identical results).  ``--trace-store PATH|off`` controls the
@@ -76,6 +74,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_designs(
     names: "Sequence[str] | None",
     default: "tuple[DesignSpec, ...]",
@@ -110,12 +122,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="PATH",
                         help="on-disk result cache; re-runs skip "
                              "already-computed sweep points")
-    parser.add_argument("--cache-backend", default=None, metavar="SPEC",
-                        help="cache storage stack: 'sharded' (default), "
-                             "'memory[:N]' (in-process LRU tier over the "
-                             "shards), or 'readthrough:PATH' (read-only "
-                             "secondary cache consulted on miss); every "
-                             "backend is bit-identical")
     parser.add_argument("--engine", choices=ENGINES, default="vectorized",
                         help="timing-replay engine: the batched fast "
                              "path (default) or the reference "
@@ -179,7 +185,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         names=names, config=config, scale=args.scale, seed=args.seed,
         designs=designs, max_accesses_per_core=args.accesses,
         jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        trace_store=args.trace_store,
     )
     _print_evaluations(evals)
     return 0
@@ -199,7 +205,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         args.name, config=config, scale=args.scale, seed=args.seed,
         designs=designs, max_accesses_per_core=args.accesses,
         jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        trace_store=args.trace_store,
     )
     print(f"{args.name}: footprint {ev.footprint_bytes / 1e6:.1f} MB, "
           f"AVR ratio {ev.avr_compression_ratio:.1f}:1, "
@@ -252,7 +258,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         scenario, config=config, designs=designs, seed=args.seed,
         max_accesses_per_core=args.accesses,
         jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        trace_store=args.trace_store,
     )
 
     print(f"scenario {ev.name}: {scenario.mix_string()} — "
@@ -322,7 +328,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         args.name, config=config, scale=args.scale,
         max_accesses_per_core=args.accesses, design=design,
         jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        cache_backend=args.cache_backend,
     )
     full = llc["full AVR"]
     rows = {
@@ -338,7 +343,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     print()
     comp = run_compressor_ablations(
         args.name, scale=min(args.scale, 0.5), cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
     )
     print(format_table(f"Compressor ablations on {args.name} data", comp,
                        "{:.2f}", col_order=["ratio", "mean_error_pct", "success_pct"]))
@@ -373,7 +377,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
           f"{', '.join(spec.designs)}")
     result = run_experiment(
         spec, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        trace_store=args.trace_store,
     )
 
     if result.evaluations:
@@ -455,7 +459,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     result = run_plan(
         spec, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        trace_store=args.trace_store,
     )
     stats = result.stats
 
@@ -506,48 +510,41 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect and maintain an on-disk result cache directory."""
     from pathlib import Path
 
-    from .harness.cache import ShardedFileBackend
+    from .harness.cache import ResultCache
 
     root = Path(args.dir)
     if not root.is_dir():
         print(f"error: {root} is not a cache directory", file=sys.stderr)
         return 2
-    backend = ShardedFileBackend(root, read_only=args.action != "gc")
+    cache = ResultCache(root)
 
     if args.action == "stats":
-        usage = backend.disk_usage()
+        usage = cache.disk_usage()
         print(f"cache {root}:")
-        print(f"  entries:   {usage.entries} ({usage.indexed} indexed)")
+        print(f"  entries:   {usage.entries}")
         print(f"  bytes:     {usage.total_bytes:,} "
               f"({usage.total_bytes / 1e6:.1f} MB)")
         print(f"  shards:    {usage.shards}")
         print(f"  tmp files: {usage.tmp_files}")
-        for version, count in sorted(usage.versions.items()):
-            print(f"  version {version}: {count} entr(ies)")
         return 0
 
     if args.action == "ls":
-        for key in backend.keys():
+        for key in cache.keys():
             if args.prefix and not key.startswith(args.prefix):
                 continue
             print(key)
         return 0
 
     if args.action == "verify":
-        report = backend.verify()
+        report = cache.verify()
         print(f"cache {root}: {report.entries} entr(ies), "
               f"{report.total_bytes:,} bytes, {report.tmp_files} tmp file(s)")
-        for label, keys in (
-            ("corrupt", report.corrupt),
-            ("phantom (indexed, payload gone)", report.phantom),
-            ("unindexed (self-heals on next put/gc)", report.unindexed),
-        ):
-            if keys:
-                print(f"  {label}: {len(keys)}")
-                for key in keys[:10]:
-                    print(f"    {key}")
-                if len(keys) > 10:
-                    print(f"    ... and {len(keys) - 10} more")
+        if report.corrupt:
+            print(f"  corrupt: {len(report.corrupt)}")
+            for key in report.corrupt[:10]:
+                print(f"    {key}")
+            if len(report.corrupt) > 10:
+                print(f"    ... and {len(report.corrupt) - 10} more")
         if not report.ok:
             print("error: corrupt payload(s) found; 'repro cache gc' "
                   "leaves them (version-keyed entries re-execute "
@@ -557,13 +554,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print("  ok")
         return 0
 
-    report = backend.gc(
-        max_bytes=args.max_bytes, stale=args.stale,
-        tmp_max_age_s=args.tmp_age, dry_run=args.dry_run,
+    report = cache.gc(
+        max_bytes=args.max_bytes, tmp_max_age_s=args.tmp_age,
+        dry_run=args.dry_run,
     )
     verb = "would remove" if report.dry_run else "removed"
     print(f"cache {root}: {verb} {report.tmp_removed} tmp file(s), "
-          f"{report.stale_removed} stale entr(ies), "
           f"{report.evicted} evicted ({report.bytes_removed:,} bytes); "
           f"kept {report.entries_kept} entr(ies), "
           f"{report.bytes_kept:,} bytes")
@@ -583,7 +579,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            cache_backend=args.cache_backend,
             engine=args.engine,
         )
     except ValueError as exc:
@@ -771,9 +766,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="override the spec's worker-process count")
     p_ex.add_argument("--cache-dir", default=None, metavar="PATH",
                       help="override the spec's result-cache directory")
-    p_ex.add_argument("--cache-backend", default=None, metavar="SPEC",
-                      help="override the spec's cache backend stack "
-                           "(sharded | memory[:N] | readthrough:PATH)")
     p_ex.add_argument("--engine", choices=ENGINES, default=None,
                       help="override the spec's timing-replay engine")
     p_ex.add_argument("--trace-store", default=None, metavar="PATH|off",
@@ -848,9 +840,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sv.add_argument("--cache-dir", required=True, metavar="PATH",
                       help="shared result-cache directory (the trace "
                            "store derives under it)")
-    p_sv.add_argument("--cache-backend", default=None, metavar="SPEC",
-                      help="cache storage stack "
-                           "(sharded | memory[:N] | readthrough:PATH)")
     p_sv.add_argument("--engine", choices=ENGINES, default=None,
                       help="override every submission's timing-replay "
                            "engine (results are bit-identical)")
@@ -906,23 +895,18 @@ def main(argv: list[str] | None = None) -> int:
         "cache",
         help="inspect and maintain an on-disk result cache",
         description="Operate on a --cache-dir directory: 'stats' "
-                    "summarizes usage from the shard indexes, 'gc' "
-                    "sweeps orphaned temp files / purges stale-version "
-                    "entries / evicts to a byte budget, 'verify' "
-                    "unpickles every payload and cross-checks the "
-                    "indexes (exit 1 on corruption), and 'ls' prints "
-                    "the committed keys.",
+                    "summarizes disk usage, 'gc' sweeps orphaned temp "
+                    "files / evicts to a byte budget, 'verify' "
+                    "unpickles every payload (exit 1 on corruption), "
+                    "and 'ls' prints the committed keys.",
     )
     p_ca.add_argument("action", choices=("stats", "gc", "verify", "ls"))
     p_ca.add_argument("dir", help="cache directory (the runs' --cache-dir)")
-    p_ca.add_argument("--max-bytes", type=int, default=None, metavar="N",
+    p_ca.add_argument("--max-bytes", type=_nonnegative_int, default=None,
+                      metavar="N",
                       help="gc: evict oldest entries (LRU by mtime) "
                            "until the survivors fit N bytes")
-    p_ca.add_argument("--stale", action="store_true",
-                      help="gc: purge entries recorded under a "
-                           "different package version (unreadable "
-                           "anyway — version is part of every key)")
-    p_ca.add_argument("--tmp-age", type=float, default=3600.0,
+    p_ca.add_argument("--tmp-age", type=_nonnegative_float, default=3600.0,
                       metavar="SECONDS",
                       help="gc: remove orphaned *.tmp files older than "
                            "this (default 3600; guards live writers)")
@@ -990,10 +974,6 @@ def main(argv: list[str] | None = None) -> int:
     p_pl.add_argument("--cache-dir", default=None, metavar="PATH",
                       help="on-disk result cache shared with "
                            "sweeps/experiments of the same points")
-    p_pl.add_argument("--cache-backend", default=None, metavar="SPEC",
-                      help="cache backend stack (sharded | memory[:N] | "
-                           "readthrough:PATH); 'memory' keeps a plan's "
-                           "repeated probes in RAM across rungs")
     p_pl.add_argument("--engine", choices=ENGINES, default=None)
     p_pl.add_argument("--trace-store", default=None, metavar="PATH|off")
     p_pl.add_argument("--json", default=None, metavar="PATH|-",

@@ -1,18 +1,16 @@
-"""CCH001 — cache storage stays behind the backend protocol.
+"""CCH001 — cache storage stays behind :class:`ResultCache`.
 
-Every on-disk cache access in the package goes through the
-:class:`repro.harness.cache.CacheBackend` protocol.  That boundary is
-what makes the backend stack pluggable (sharded / memory-tier /
-read-through), keeps the per-shard ``index.jsonl`` consistent with the
-payload files, and lets ``repro cache gc``/``verify`` reason about the
-store as a whole.  A direct ``pickle.load`` on a ``*.pkl`` path — or a
-hand-built ``<shard>/<key>.pkl`` string — outside ``harness/cache.py``
-reads entries without index accounting and writes entries the index
-never learns about, so this rule flags, everywhere else in the
-package:
+Every on-disk cache access in the package goes through
+:class:`repro.harness.cache.ResultCache`.  That boundary keeps writes
+atomic, counts traffic in the cache's stats, and lets
+``repro cache gc``/``verify`` reason about the store as a whole.  A
+direct ``pickle.load`` on a ``*.pkl`` path — or a hand-built
+``<shard>/<key>.pkl`` string — outside ``harness/cache.py`` reads
+entries without stats accounting and may write torn entries, so this
+rule flags, everywhere else in the package:
 
 * calls to ``pickle.load`` / ``loads`` / ``dump`` / ``dumps`` (the
-  cache's payload codec; module code pickles only via the backend or
+  cache's payload codec; module code pickles only via the cache or
   implicitly via multiprocessing),
 * ``".pkl"`` string literals (building cache payload paths by hand).
 
@@ -33,7 +31,7 @@ from ..registry import Rule, register_rule
 
 __all__ = ["CacheFileDiscipline"]
 
-#: the one module allowed to touch payload files and indexes directly
+#: the one module allowed to touch payload files directly
 _IMPLEMENTATION = "harness/cache.py"
 
 #: the payload codec's entry points
@@ -47,15 +45,15 @@ _PICKLE_CALLS = {
 
 @register_rule
 class CacheFileDiscipline(Rule):
-    """Flag direct cache-payload I/O outside the backend implementation."""
+    """Flag direct cache-payload I/O outside the cache implementation."""
 
     id = "CCH001"
     name = "cache-file-discipline"
     summary = (
-        "cache payloads are read and written only through CacheBackend "
+        "cache payloads are read and written only through ResultCache "
         "— no pickle.* calls or '.pkl' paths outside harness/cache.py"
     )
-    hint = "go through ResultCache / CacheBackend (repro.harness.cache)"
+    hint = "go through ResultCache (repro.harness.cache)"
 
     def check(
         self, module: SourceModule, project: Project
@@ -69,9 +67,8 @@ class CacheFileDiscipline(Rule):
                 if resolved in _PICKLE_CALLS:
                     message = (
                         f"direct {resolved}() call: cache payloads are "
-                        "(un)pickled only by the CacheBackend "
-                        "implementation, which keeps the shard indexes "
-                        "and traffic stats honest"
+                        "(un)pickled only by ResultCache, which keeps "
+                        "writes atomic and traffic stats honest"
                     )
             elif (
                 isinstance(node, ast.Constant)
@@ -80,7 +77,7 @@ class CacheFileDiscipline(Rule):
             ):
                 message = (
                     f"hand-built cache payload path {node.value!r}: "
-                    "entries addressed behind the index's back break "
+                    "entries addressed behind the cache's back break "
                     "gc/verify bookkeeping"
                 )
             if message is not None:

@@ -92,10 +92,6 @@ class ExperimentSpec:
     jobs: int = 1
     #: default on-disk result-cache directory (None = no cache)
     cache_dir: str | None = None
-    #: result-cache backend stack (``sharded`` | ``memory[:N]`` |
-    #: ``readthrough:PATH``); every backend is bit-identical, so this
-    #: is execution-only (see :func:`repro.harness.cache.resolve_backend`)
-    cache_backend: str | None = None
     #: memory-mapped composed-trace store directory; None derives
     #: ``<cache_dir>/traces`` when caching, ``"off"`` disables it (see
     #: :func:`repro.trace.store.resolve_trace_store`)
@@ -137,7 +133,7 @@ class ExperimentSpec:
     #: sweep-cache keys already assume); stored traces are bit-identical
     #: to regenerated ones, so the trace store is execution-only too
     _NON_IDENTITY_FIELDS = frozenset(
-        {"name", "jobs", "cache_dir", "cache_backend", "engine", "trace_store"}
+        {"name", "jobs", "cache_dir", "engine", "trace_store"}
     )
 
     def content_hash(self) -> str:
@@ -349,7 +345,6 @@ def run_experiment(
     cache_dir: str | Path | Any | None = None,
     engine: str | None = None,
     trace_store: str | Path | bool | None = None,
-    cache_backend: str | None = None,
     executor: Any | None = None,
     on_unit_done: Any | None = None,
 ) -> ExperimentResult:
@@ -361,8 +356,8 @@ def run_experiment(
     decomposed into the same sweep job units, so results are
     bit-identical to the equivalent programmatic calls and cache
     entries are shared with them.  ``jobs`` / ``cache_dir`` /
-    ``engine`` / ``trace_store`` / ``cache_backend`` override the
-    spec's execution settings without touching its identity;
+    ``engine`` / ``trace_store`` override the spec's execution
+    settings without touching its identity;
     ``cache_dir`` may also be a prebuilt
     :class:`~repro.harness.cache.ResultCache`.  ``executor`` /
     ``on_unit_done`` forward to :func:`~repro.harness.sweep.run_sweep`
@@ -381,9 +376,6 @@ def run_experiment(
         jobs=jobs if jobs is not None else spec.jobs,
         cache_dir=resolved_cache,
         trace_store=trace_store if trace_store is not None else spec.trace_store,
-        cache_backend=(
-            cache_backend if cache_backend is not None else spec.cache_backend
-        ),
         executor=executor,
         on_unit_done=on_unit_done,
     )

@@ -145,7 +145,6 @@ def evaluate_workload(
     cache_dir: str | Path | None = None,
     engine: str = "vectorized",
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
     **workload_kwargs: Any,
 ) -> WorkloadEvaluation:
     """Run one workload through the functional and timing layers.
@@ -173,7 +172,6 @@ def evaluate_workload(
     )
     return run_sweep(
         spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store,
-        cache_backend=cache_backend,
     ).by_workload()[name]
 
 
@@ -188,7 +186,6 @@ def evaluate_all(
     cache_dir: str | Path | None = None,
     engine: str = "vectorized",
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
 ) -> dict[str, WorkloadEvaluation]:
     """Evaluate every workload (paper order).
 
@@ -214,5 +211,4 @@ def evaluate_all(
     )
     return run_sweep(
         spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store,
-        cache_backend=cache_backend,
     ).by_workload()

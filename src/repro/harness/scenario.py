@@ -611,7 +611,6 @@ def evaluate_scenario(
     cache_dir: str | Path | None = None,
     engine: str = "vectorized",
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
 ) -> ScenarioEvaluation:
     """Run one multi-programmed mix end to end.
 
@@ -639,7 +638,6 @@ def evaluate_scenario(
     )
     return run_sweep(
         spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store,
-        cache_backend=cache_backend,
     ).by_scenario()[scenario.name]
 
 

@@ -551,10 +551,10 @@ def _run_jobs(
 ) -> tuple[dict[str, Any], int]:
     """Execute ``{key: (fn, *args)}``, consulting the cache first.
 
-    All pending keys are resolved in **one** batched cache pass (one
-    index scan per touched shard) before any miss is submitted to the
-    pool.  Returns the results by key and the number of jobs actually
-    launched (i.e. neither served from the cache nor joined in flight).
+    All pending keys are resolved in **one** batched cache pass before
+    any miss is submitted to the pool.  Returns the results by key and
+    the number of jobs actually launched (i.e. neither served from the
+    cache nor joined in flight).
     """
     results: dict[str, Any] = {}
     pending = dict(jobs)
@@ -586,7 +586,6 @@ def run_sweep(
     jobs: int = 1,
     cache_dir: str | Path | ResultCache | None = None,
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
     executor: JobExecutor | None = None,
     on_unit_done: UnitCallback | None = None,
 ) -> SweepResult:
@@ -601,11 +600,8 @@ def run_sweep(
 
     ``cache_dir`` may also be an already-built
     :class:`~repro.harness.cache.ResultCache` — the planner passes one
-    instance through every internal sweep so a memory tier spans the
-    whole plan.  ``cache_backend`` picks the storage stack for a plain
-    directory (``sharded`` | ``memory[:N]`` | ``readthrough:PATH`` —
-    see :func:`repro.harness.cache.resolve_backend`); every backend is
-    bit-identical, it only changes where warm reads are served from.
+    instance through every internal sweep so its stats span the whole
+    plan.
 
     ``trace_store`` selects the memory-mapped composed-trace store
     (see :func:`repro.trace.store.resolve_trace_store`): by default a
@@ -629,7 +625,7 @@ def run_sweep(
     (stores are atomic and happen only in the parent).
     """
     config = spec.resolved_config()
-    cache = resolve_result_cache(cache_dir, cache_backend)
+    cache = resolve_result_cache(cache_dir)
     store = resolve_trace_store(
         trace_store, cache.root if cache is not None else None
     )
@@ -682,7 +678,7 @@ def run_sweep(
         # turned into pool jobs.  The trace is only composed for points
         # with at least one timing cache miss: a warm re-run
         # reassembles everything without regenerating a single address
-        # stream and without a single per-key cache probe.
+        # stream.
         contexts: list[tuple[SweepPoint, Workload, WorkloadResult, AddressLayout]] = []
         timing: dict[str, SimResult] = {}
         #: key -> how to build the job if the batched lookup misses

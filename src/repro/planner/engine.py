@@ -231,7 +231,6 @@ class _Planner:
         jobs: int,
         cache_dir: str | Path | None,
         trace_store: str | Path | bool | None,
-        cache_backend: str | None = None,
         executor: Any | None = None,
         on_unit_done: Any | None = None,
     ) -> None:
@@ -240,10 +239,9 @@ class _Planner:
         self.trace_store = trace_store
         self.executor = executor
         self.on_unit_done = on_unit_done
-        # One cache instance threads through every internal sweep, so a
-        # memory tier (or read-through stack) spans the whole plan —
-        # rungs re-reading shared functional results hit RAM.
-        self.cache = resolve_result_cache(cache_dir, cache_backend)
+        # One cache instance threads through every internal sweep, so
+        # its stats cover the whole plan.
+        self.cache = resolve_result_cache(cache_dir)
         self.config = SystemConfig.scaled(num_cores=spec.resolved_cores())
         self.constraints = spec.parsed_constraints()
         self.stats = PlanStats()
@@ -343,10 +341,8 @@ class _Planner:
         """Fit the surrogate from whatever the result cache already holds.
 
         Every (candidate, fidelity) pair's speculative job keys are
-        enumerated up front and resolved in **one** index-backed bulk
-        probe (:meth:`ResultCache.peek_many` — stats-neutral, and
-        absent keys cost index lookups, not ``open()`` attempts,
-        instead of the historical four ``peek`` calls per pair).
+        enumerated up front and resolved in **one** bulk probe
+        (:meth:`ResultCache.peek_many`, which is stats-neutral).
         Metrics are reconstructed from the probe's results — no
         simulation runs here, ever.
         """
@@ -558,14 +554,13 @@ def run_plan(
     cache_dir: str | Path | None = None,
     engine: str | None = None,
     trace_store: str | Path | bool | None = None,
-    cache_backend: str | None = None,
     executor: Any | None = None,
     on_unit_done: Any | None = None,
 ) -> PlanResult:
     """Execute a plan spec (or spec file) end to end.
 
-    ``jobs`` / ``cache_dir`` / ``engine`` / ``trace_store`` /
-    ``cache_backend`` override the spec's execution settings without
+    ``jobs`` / ``cache_dir`` / ``engine`` / ``trace_store`` override
+    the spec's execution settings without
     touching its identity, mirroring
     :func:`~repro.experiment.run_experiment`; ``executor`` /
     ``on_unit_done`` thread a caller-owned
@@ -584,9 +579,6 @@ def run_plan(
         jobs=jobs if jobs is not None else spec.jobs,
         cache_dir=cache_dir if cache_dir is not None else spec.cache_dir,
         trace_store=trace_store if trace_store is not None else spec.trace_store,
-        cache_backend=(
-            cache_backend if cache_backend is not None else spec.cache_backend
-        ),
         executor=executor,
         on_unit_done=on_unit_done,
     )

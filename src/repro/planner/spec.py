@@ -161,10 +161,6 @@ class PlanSpec:
     jobs: int = 1
     #: default on-disk result-cache directory (None = no cache)
     cache_dir: str | None = None
-    #: result-cache backend stack (``sharded`` | ``memory[:N]`` |
-    #: ``readthrough:PATH``; execution-only — every backend is
-    #: bit-identical)
-    cache_backend: str | None = None
     #: memory-mapped trace store directory (see ``ExperimentSpec``)
     trace_store: str | None = None
 
@@ -228,7 +224,7 @@ class PlanSpec:
     #: ``ExperimentSpec``: both engines are bit-identical, and the
     #: label/worker/cache settings cannot change what is planned)
     _NON_IDENTITY_FIELDS = frozenset(
-        {"name", "jobs", "cache_dir", "cache_backend", "engine", "trace_store"}
+        {"name", "jobs", "cache_dir", "engine", "trace_store"}
     )
 
     def content_hash(self) -> str:

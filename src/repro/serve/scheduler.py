@@ -34,7 +34,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from ..harness.cache import GCReport, ResultCache, VerifyReport
+from ..harness.cache import ResultCache
 from ..harness.sweep import JobExecutor
 
 __all__ = [
@@ -54,34 +54,18 @@ class LockedResultCache(ResultCache):
     """Thread-safe facade over a :class:`ResultCache` shared by sessions.
 
     The daemon hands one instance to every concurrent sweep thread;
-    an ``RLock`` serializes backend operations (index mutation, LRU
-    bookkeeping, stats counters) that are only ever exercised
-    single-threaded in one-shot runs.  ``root``/``backend`` mirror the
-    inner cache so ``isinstance`` checks, trace-store derivation and
-    ``stats`` all behave like the cache they wrap.
+    an ``RLock`` serializes the operations those threads use, so the
+    shared ``stats`` counters are never updated concurrently.
+    ``root``/``stats`` mirror the inner cache so ``isinstance`` checks,
+    trace-store derivation and stats reporting behave like the cache
+    they wrap.
     """
 
     def __init__(self, inner: ResultCache) -> None:
         self._inner = inner
         self._lock = threading.RLock()
         self.root = inner.root
-        self.backend = inner.backend
-
-    def get(self, key: str, default: Any = None) -> Any:
-        with self._lock:
-            return self._inner.get(key, default)
-
-    def peek(self, key: str, default: Any = None) -> Any:
-        with self._lock:
-            return self._inner.peek(key, default)
-
-    def put(self, key: str, value: Any) -> None:
-        with self._lock:
-            self._inner.put(key, value)
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return self._inner.contains(key)
+        self.stats = inner.stats
 
     def get_many(self, keys: Any) -> dict[str, Any]:
         with self._lock:
@@ -94,18 +78,6 @@ class LockedResultCache(ResultCache):
     def put_many(self, items: Any) -> None:
         with self._lock:
             self._inner.put_many(items)
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return self._inner.keys()
-
-    def gc(self, **kwargs: Any) -> GCReport:
-        with self._lock:
-            return self._inner.gc(**kwargs)
-
-    def verify(self) -> VerifyReport:
-        with self._lock:
-            return self._inner.verify()
 
     def __len__(self) -> int:
         with self._lock:

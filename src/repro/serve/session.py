@@ -32,7 +32,7 @@ __all__ = ["Session"]
 #: spec keys describing *where/how* to execute rather than *what* —
 #: the daemon substitutes its own shared cache, trace store and
 #: executor, so client-side settings for these must not leak through
-_EXECUTION_ONLY_KEYS = ("jobs", "cache_dir", "cache_backend", "trace_store")
+_EXECUTION_ONLY_KEYS = ("jobs", "cache_dir", "trace_store")
 
 
 class _Job:

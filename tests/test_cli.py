@@ -98,24 +98,10 @@ def warm_cache(tmp_path):
     return tmp_path
 
 
-def test_cache_backend_flag_is_bit_identical(warm_cache, capsys):
-    capsys.readouterr()
-    outputs = []
-    for backend in ("sharded", "memory:64", f"readthrough:{warm_cache}"):
-        code = main([
-            "workload", "heat", "--scale", "0.1", "--cores", "2",
-            "--accesses", "2000", "--designs", "AVR",
-            "--cache-dir", str(warm_cache), "--cache-backend", backend,
-        ])
-        assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def test_cache_stats_and_ls(warm_cache, capsys):
     assert main(["cache", "stats", str(warm_cache)]) == 0
     out = capsys.readouterr().out
-    assert "entries:" in out and "indexed" in out
+    assert "entries:" in out and "shards:" in out
 
     assert main(["cache", "ls", str(warm_cache)]) == 0
     keys = capsys.readouterr().out.split()
@@ -167,13 +153,19 @@ def test_cache_rejects_missing_dir(tmp_path, capsys):
     assert "not a cache directory" in capsys.readouterr().err
 
 
-def test_rejects_unknown_cache_backend(tmp_path):
-    with pytest.raises(ValueError, match="unknown cache backend"):
-        main([
-            "workload", "heat", "--scale", "0.1", "--cores", "2",
-            "--accesses", "2000", "--designs", "AVR",
-            "--cache-dir", str(tmp_path), "--cache-backend", "lru",
-        ])
+def test_cache_gc_rejects_negative_max_bytes(warm_cache, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "gc", str(warm_cache), "--max-bytes", "-1"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert any(warm_cache.glob("*/*.pkl"))
+
+
+def test_cache_gc_rejects_negative_tmp_age(warm_cache, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "gc", str(warm_cache), "--tmp-age", "-1"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_requires_command():

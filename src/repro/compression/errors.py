@@ -40,7 +40,8 @@ def mean_relative_error(
     if original.shape != approx.shape:
         raise ValueError(f"shape mismatch: {original.shape} vs {approx.shape}")
     magnitudes = np.abs(original)
-    scale = float(magnitudes.mean()) if np.isfinite(magnitudes.mean()) else 1.0
+    mean = magnitudes.mean()
+    scale = float(mean) if np.isfinite(mean) else 1.0
     floor = max(floor_fraction * scale, 1e-30)
     denom = np.maximum(magnitudes, floor)
     err = np.abs(approx - original) / denom

@@ -212,9 +212,15 @@ class DesignSpec:
     # identity
     # ------------------------------------------------------------------
     def _identity(self) -> tuple:
-        return tuple(
-            getattr(self, f.name) for f in fields(self) if f.compare
-        )
+        # Memoized on the (frozen) instance, like ExperimentSpec's
+        # content hash: every dict lookup keyed by a design hashes it.
+        identity: tuple | None = self.__dict__.get("_identity_memo")
+        if identity is None:
+            identity = tuple(
+                getattr(self, f.name) for f in fields(self) if f.compare
+            )
+            object.__setattr__(self, "_identity_memo", identity)
+        return identity
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DesignSpec):

@@ -23,6 +23,7 @@ as the ``repro cache`` CLI.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
@@ -44,6 +45,25 @@ __all__ = [
 ]
 
 
+#: instance ``__dict__`` slot holding a frozen dataclass's canonical text
+_MEMO = "_canonical_text"
+
+
+@functools.cache
+def _dataclass_shape(cls: type) -> tuple[tuple[str, ...], bool] | None:
+    """``(compare-field names, frozen)`` of dataclass type ``cls``, else None.
+
+    Cached per type; the cache grows with the number of distinct value
+    types ever keyed, which the spec dataclasses bound.
+    """
+    if dataclasses.is_dataclass(cls):
+        # Fields marked compare=False are outside a value's identity
+        # (e.g. a DesignSpec's builder callable) and stay out of keys.
+        names = tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+        return names, bool(getattr(cls, "__dataclass_params__").frozen)
+    return None
+
+
 def _canonical(obj: Any) -> str:
     """Deterministic text form of a job-spec value.
 
@@ -51,30 +71,73 @@ def _canonical(obj: Any) -> str:
     containers, and scalars.  Unknown objects raise ``TypeError`` so a
     new un-canonicalizable spec field fails loudly instead of silently
     hashing by ``repr`` identity.
+
+    The text of a frozen dataclass instance whose whole subtree is
+    immutable (scalars, enums, tuples and other such instances) is
+    computed once and memoized on that instance; anything holding a
+    ``dict`` or ``list`` is recomputed on every call.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # Fields marked compare=False are outside a value's identity
-        # (e.g. a DesignSpec's builder callable) and stay out of keys.
-        fields = ",".join(
-            f"{f.name}={_canonical(getattr(obj, f.name))}"
-            for f in dataclasses.fields(obj)
-            if f.compare
-        )
-        return f"{type(obj).__qualname__}({fields})"
+    return _canonical_node(obj)[0]
+
+
+def _canonical_node(obj: Any) -> tuple[str, bool]:
+    """``(canonical text, whether obj's whole subtree is immutable)``."""
+    cls = type(obj)
+    # Exact scalar types first: the bulk of every key, and none of them
+    # can also be a dataclass or an Enum.
+    if cls is str or cls is int or cls is bool or obj is None:
+        return repr(obj), True
+    if cls is float:
+        return obj.hex(), True  # exact: no decimal rounding ambiguity
+    if cls is tuple:
+        return _canonical_sequence(obj)
+    shape = _dataclass_shape(cls)
+    if shape is not None:
+        names, frozen = shape
+        state = getattr(obj, "__dict__", None) if frozen else None
+        memo = state.get(_MEMO) if state is not None else None
+        if memo is not None:
+            return memo, True
+        parts = []
+        immutable = frozen
+        for name in names:
+            text, leaf_immutable = _canonical_node(getattr(obj, name))
+            parts.append(f"{name}={text}")
+            immutable = immutable and leaf_immutable
+        text = f"{cls.__qualname__}({','.join(parts)})"
+        if immutable and state is not None:
+            # Keyed by the instance, never by value: equal instances
+            # (scale=1 vs scale=1.0) canonicalize differently.
+            object.__setattr__(obj, _MEMO, text)
+        return text, immutable
+    # Subclasses of the scalar and container types, in the original
+    # precedence order (a str-valued Enum is an Enum, np.float64 a float).
     if isinstance(obj, Enum):
-        return f"{type(obj).__qualname__}.{obj.name}"
+        return f"{cls.__qualname__}.{obj.name}", True
     if isinstance(obj, dict):
         items = ",".join(
             f"{_canonical(k)}:{_canonical(v)}" for k, v in sorted(obj.items())
         )
-        return "{" + items + "}"
-    if isinstance(obj, (tuple, list)):
-        return "(" + ",".join(_canonical(v) for v in obj) + ")"
+        return "{" + items + "}", False
+    if isinstance(obj, tuple):
+        return _canonical_sequence(obj)
+    if isinstance(obj, list):
+        return _canonical_sequence(obj)[0], False
     if isinstance(obj, float):
-        return obj.hex()  # exact: no decimal rounding ambiguity
-    if obj is None or isinstance(obj, (bool, int, str, bytes)):
-        return repr(obj)
-    raise TypeError(f"cannot build a cache key from {type(obj).__name__}: {obj!r}")
+        return obj.hex(), True
+    if isinstance(obj, (bool, int, str, bytes)):
+        return repr(obj), True
+    raise TypeError(f"cannot build a cache key from {cls.__name__}: {obj!r}")
+
+
+def _canonical_sequence(items: tuple | list) -> tuple[str, bool]:
+    texts = []
+    immutable = True
+    for item in items:
+        text, leaf_immutable = _canonical_node(item)
+        texts.append(text)
+        immutable = immutable and leaf_immutable
+    return "(" + ",".join(texts) + ")", immutable
 
 
 def content_key(*parts: Any) -> str:

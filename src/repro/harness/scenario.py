@@ -29,7 +29,7 @@ DRAM-saturation effect the paper is about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, TYPE_CHECKING
 
@@ -77,6 +77,8 @@ __all__ = [
     "scenario_functional_designs",
     "scenario_subsets",
     "scenario_timing_context",
+    "scenario_timing_key",
+    "scenario_timing_keys",
     "scenario_trace_key",
 ]
 
@@ -299,8 +301,6 @@ def scenario_trace_key(point: ScenarioPoint, num_cores: int) -> str:
     memory layouts, so every threshold setting of one mix maps the
     same stored stream.
     """
-    from dataclasses import replace
-
     identity = replace(
         point,
         scenario=replace(point.scenario, name=""),
@@ -428,12 +428,31 @@ def scenario_timing_key(
     and must share entries, so the key covers only the content
     (entries, placement, seed, budget, thresholds).
     """
-    from dataclasses import replace
+    return scenario_timing_keys(point, (design,), config, (active,))[
+        design, active
+    ]
 
+
+def scenario_timing_keys(
+    point: ScenarioPoint,
+    designs: Iterable[DesignSpec],
+    config: SystemConfig,
+    subsets: tuple[tuple[int, ...], ...],
+) -> dict[tuple[DesignSpec, tuple[int, ...]], str]:
+    """:func:`scenario_timing_key` of every ``(design, active)`` pair.
+
+    The name-stripped identity is built once for the whole grid, so
+    its canonical form is computed once too (the cache-key memo lives
+    on the instance).
+    """
     identity = replace(point, scenario=replace(point.scenario, name=""))
-    return content_key(
-        "scenario-timing", __version__, identity, design, config, active
-    )
+    return {
+        (design, active): content_key(
+            "scenario-timing", __version__, identity, design, config, active
+        )
+        for design in designs
+        for active in subsets
+    }
 
 
 # ----------------------------------------------------------------------

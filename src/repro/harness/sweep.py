@@ -70,7 +70,7 @@ from .scenario import (
     build_scenario_context,
     scenario_functional_designs,
     scenario_subsets,
-    scenario_timing_key,
+    scenario_timing_keys,
 )
 
 __all__ = [
@@ -645,10 +645,15 @@ def run_sweep(
         # Workload points and scenario instances enumerate into one job
         # dict: a mix containing a workload that is also swept solo
         # shares the very same functional jobs and cache entries.
+        # Each unit key is built exactly once per sweep and carried to
+        # every later stage: ``point_keys[i]`` maps each needed design
+        # to point i's functional key.
         functional_jobs: dict[str, tuple] = {}
+        point_keys: list[dict[DesignSpec, str]] = []
         for point in points:
-            for design in needed_functional:
-                key = _functional_key(point, design)
+            keys = {d: _functional_key(point, d) for d in needed_functional}
+            point_keys.append(keys)
+            for design, key in keys.items():
                 functional_jobs.setdefault(key, (run_functional_job, point, design))
         for spoint in scenario_points:
             for plan in spoint.plans():
@@ -679,14 +684,18 @@ def run_sweep(
         # with at least one timing cache miss: a warm re-run
         # reassembles everything without regenerating a single address
         # stream.
-        contexts: list[tuple[SweepPoint, Workload, WorkloadResult, AddressLayout]] = []
+        #: per workload point: (point, workload, reference, layout,
+        #: [(design, functional result, dedup factor, timing key)])
+        contexts: list[tuple[
+            SweepPoint, Workload, WorkloadResult, AddressLayout,
+            list[tuple[DesignSpec, WorkloadResult, float, str]],
+        ]] = []
         timing: dict[str, SimResult] = {}
         #: key -> how to build the job if the batched lookup misses
         descriptors: dict[str, tuple] = {}
-        dedups: dict[tuple[SweepPoint, DesignSpec], float] = {}
-        for point in points:
+        for point, keys in zip(points, point_keys):
             workload = point.make()
-            reference = functional[_functional_key(point, BASELINE)]
+            reference = functional[keys[BASELINE]]
             solo = ScenarioPoint(
                 scenario=Scenario.solo(
                     point.workload,
@@ -698,17 +707,25 @@ def run_sweep(
                 thresholds=point.thresholds,
                 max_accesses_per_core=point.max_accesses_per_core,
             )
+            # The solo scenario's one instance point is this point,
+            # field for field, so its functional keys are ``keys``.
             context = build_scenario_context(
-                solo, config, functional_for, designs=spec.designs, store=store
+                solo,
+                config,
+                lambda _ipoint, design, keys=keys: functional[keys[design]],
+                designs=spec.designs,
+                store=store,
             )
-            contexts.append((point, workload, reference, context.layout))
+            runs = []
             for design in spec.designs:
-                func = functional.get(_functional_key(point, design), reference)
+                # Exact designs outside ``needed_functional`` reuse the
+                # reference run.
+                func = functional[keys[design]] if design in keys else reference
                 dedup = (
                     func.memory.dedup_factor() if design.measures_dedup else 1.0
                 )
-                dedups[(point, design)] = dedup
                 key = _timing_key(point, design, config)
+                runs.append((design, func, dedup, key))
                 descriptors[key] = (
                     context,
                     design,
@@ -716,6 +733,7 @@ def run_sweep(
                     reference.memory.footprint_bytes,
                     dedup,
                 )
+            contexts.append((point, workload, reference, context.layout, runs))
 
         # Scenario points: one co-run replay per design, plus the solo
         # and leave-one-out subset replays the contention metrics need.
@@ -724,18 +742,18 @@ def run_sweep(
             context = build_scenario_context(
                 spoint, config, functional_for, designs=spec.designs, store=store
             )
-            scenario_contexts.append(context)
-            subsets = scenario_subsets(len(context.plans))
-            for design in spec.designs:
-                for active in subsets:
-                    key = scenario_timing_key(spoint, design, config, active)
-                    descriptors[key] = (
-                        context,
-                        design,
-                        active,
-                        context.footprint_bytes,
-                        context.dedup_factors.get(design, 1.0),
-                    )
+            subset_keys = scenario_timing_keys(
+                spoint, spec.designs, config, scenario_subsets(len(context.plans))
+            )
+            scenario_contexts.append((context, subset_keys))
+            for (design, active), key in subset_keys.items():
+                descriptors[key] = (
+                    context,
+                    design,
+                    active,
+                    context.footprint_bytes,
+                    context.dedup_factors.get(design, 1.0),
+                )
 
         if cache is not None:
             cached_timing = cache.get_many(list(descriptors))
@@ -784,7 +802,7 @@ def run_sweep(
 
     # --- stage 3: reassemble WorkloadEvaluations ----------------------
     result = SweepResult(spec=spec, stats=stats)
-    for point, workload, reference, layout in contexts:
+    for point, workload, reference, layout, runs in contexts:
         evaluation = WorkloadEvaluation(
             name=point.workload,
             baseline_iterations=reference.iterations,
@@ -792,9 +810,8 @@ def run_sweep(
             timing_approx_bytes=layout.approx_bytes,
             avr_compression_ratio=layout.mean_compression_ratio(),
         )
-        for design in spec.designs:
-            func = functional.get(_functional_key(point, design), reference)
-            sim = timing[_timing_key(point, design, config)]
+        for design, func, dedup, key in runs:
+            sim = timing[key]
             sim.iteration_factor = func.iterations / max(reference.iterations, 1)
             error = (
                 0.0
@@ -806,18 +823,14 @@ def run_sweep(
                 output_error=error,
                 iterations=func.iterations,
                 compression_ratio=func.memory.compression_ratio(),
-                dedup_factor=dedups[(point, design)],
+                dedup_factor=dedup,
                 timing=sim,
             )
         result.evaluations[point] = evaluation
 
-    for spoint, context in zip(scenario_points, scenario_contexts):
+    for spoint, (context, subset_keys) in zip(scenario_points, scenario_contexts):
         subset_results = {
-            (design, active): timing[
-                scenario_timing_key(spoint, design, config, active)
-            ]
-            for design in spec.designs
-            for active in scenario_subsets(len(context.plans))
+            unit: timing[key] for unit, key in subset_keys.items()
         }
         result.scenario_evaluations[spoint] = assemble_scenario_evaluation(
             spoint, context, spec.designs, subset_results

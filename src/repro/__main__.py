@@ -10,8 +10,8 @@ Commands:
 * ``designs``    — list the registered design points
 * ``ablate``     — run the LLC / compressor ablation studies
 * ``overheads``  — print the §4.2 hardware-overhead accounting
-* ``plan``       — search the design space for Pareto-optimal
-  configurations under an objective, constraints and eval budget
+* ``plan``       — evaluate a design space exhaustively and report the
+  Pareto-optimal configurations under an objective and constraints
 * ``cache``      — inspect and maintain an on-disk result cache
   (``stats`` / ``gc`` / ``verify`` / ``ls``)
 * ``check``      — run the repo-invariant static analysis pass
@@ -429,7 +429,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    """Search the design space with the multi-fidelity planner."""
+    """Evaluate a design space and print its Pareto front."""
     import dataclasses
 
     from .planner import PlanSpec, run_plan
@@ -440,8 +440,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ("scales", "thresholds_scales"), ("t2", "t2_thresholds"),
         ("widths", "approx_line_bytes"), ("toggles", "avr_toggles"),
         ("objective", "objective"), ("constraint", "constraints"),
-        ("budget", "budget"), ("eta", "eta"),
-        ("initial", "initial_candidates"), ("plan_seed", "seed"),
         ("scale", "scale"), ("seed", "trace_seed"),
         ("accesses", "max_accesses_per_core"), ("cores", "num_cores"),
     ):
@@ -463,16 +461,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     )
     stats = result.stats
 
-    budget = spec.budget or "unbounded"
     print(f"plan {spec.name!r} ({spec.content_hash()[:12]}): "
           f"{stats.candidates} candidate(s) on {spec.workload}, "
           f"objective {spec.objective}"
-          + (f", s.t. {', '.join(spec.constraints)}" if spec.constraints else "")
-          + f", budget {budget}")
-    ladder = " -> ".join(
-        f"{len(r.outcomes)}@{r.fidelity}" for r in result.rungs
-    )
-    print(f"rungs (count@accesses/core): {ladder}")
+          + (f", s.t. {', '.join(spec.constraints)}" if spec.constraints else ""))
     print()
     if not result.front:
         print("no feasible candidate satisfies the constraints")
@@ -488,14 +480,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
                   f" {m['traffic']:8.3f} {m['time']:6.2f}"
                   f" {m['error'] * 100:8.3f} {m['compression']:6.1f}")
     print()
-    print(f"evals: {stats.full_fidelity_evals} full-fidelity + "
-          f"{stats.low_fidelity_evals} low-fidelity "
-          f"(exhaustive grid: {stats.exhaustive_full_evals}; "
-          f"{stats.savings:.1f}x fewer full evals); "
-          f"{stats.jobs_executed} job(s) executed, "
-          f"{stats.cache_hits} cache hit(s)"
-          + (f"; surrogate fitted from {stats.surrogate_points} cached "
-             f"point(s)" if stats.surrogate_points else ""))
+    print(f"{stats.jobs_executed} job(s) executed, "
+          f"{stats.cache_hits} cache hit(s)")
 
     if args.json:
         _emit_json(args.json, result.to_mapping())
@@ -919,16 +905,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_pl = sub.add_parser(
         "plan",
-        help="search the design space (multi-fidelity Pareto planner)",
-        description="Search the DesignSpec parameter space for "
-                    "configurations optimizing an objective under "
-                    "constraints — e.g. minimize DRAM traffic subject "
-                    "to an output-error budget — via successive "
-                    "halving over trace fidelity plus Pareto-front "
-                    "selection.  Every probe is an ordinary sweep job "
-                    "unit sharing the --cache-dir result cache, and "
-                    "planning is deterministic given the spec and "
-                    "--plan-seed.",
+        help="search the design space (exhaustive sweep + Pareto front)",
+        description="Evaluate every configuration of a DesignSpec "
+                    "parameter space at full fidelity in one sweep, "
+                    "drop those violating a constraint, and print the "
+                    "Pareto front ordered by the objective — e.g. "
+                    "minimize DRAM traffic subject to an output-error "
+                    "budget.  Every evaluation is an ordinary sweep "
+                    "job unit sharing the --cache-dir result cache.",
     )
     p_pl.add_argument("spec", nargs="?", default=None,
                       help="optional .toml/.json PlanSpec file; flags "
@@ -953,21 +937,12 @@ def main(argv: list[str] | None = None) -> int:
                       metavar="METRIC<=VALUE",
                       help="feasibility bound, repeatable "
                            "(e.g. 'error<=0.05')")
-    p_pl.add_argument("--budget", type=int, default=None,
-                      help="max full-fidelity evaluations "
-                           "(0 = unbounded/exhaustive)")
-    p_pl.add_argument("--eta", type=int, default=None,
-                      help="halving factor between rungs (default 2)")
-    p_pl.add_argument("--initial", type=int, default=None, metavar="N",
-                      help="cap on rung-0 candidates (surrogate-seeded)")
-    p_pl.add_argument("--plan-seed", type=int, default=None, dest="plan_seed",
-                      help="planner RNG seed (default 0)")
     p_pl.add_argument("--scale", type=float, default=None,
                       help="workload size multiplier")
     p_pl.add_argument("--seed", type=int, default=None,
                       help="trace-jitter seed of every evaluation")
     p_pl.add_argument("--accesses", type=_positive_int, default=None,
-                      help="full-fidelity trace accesses per core")
+                      help="trace accesses per core of every evaluation")
     p_pl.add_argument("--cores", type=_positive_int, default=None)
     p_pl.add_argument("--jobs", type=_positive_int, default=None,
                       help="worker processes for the sweep engine")

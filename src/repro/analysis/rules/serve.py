@@ -16,10 +16,10 @@ This rule extends that discipline to the async layer.  Inside
   daemon-side timing (uptime, latency) must come from the event
   loop's monotonic ``loop.time()``;
 * **unthreaded RNG state anywhere in a serve module** — module-level
-  generators or literal-constant seeds (the PLN001 contract): any
-  randomness a service path needs must be threaded from the
-  submission's spec seed, never minted by the daemon, or two clients
-  submitting the same spec would receive different results.
+  generators or literal-constant seeds: any randomness a service path
+  needs must be threaded from the submission's spec seed, never minted
+  by the daemon, or two clients submitting the same spec would receive
+  different results.
 
 A deliberate exception takes an inline ``# repro: ignore[SRV001]``.
 """
@@ -32,10 +32,21 @@ from typing import Iterator
 from ..findings import Finding
 from ..project import Project, SourceModule, dotted_name
 from ..registry import Rule, register_rule
-from .planner import _RNG_CONSTRUCTORS, _function_scoped_nodes, _seed_arguments
 from .rng import _WALL_CLOCK
 
 __all__ = ["ServeAsyncDiscipline"]
+
+#: RNG entry points whose construction this rule audits
+_RNG_CONSTRUCTORS = {
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.SeedSequence",
+    "numpy.random.PCG64",
+    "numpy.random.PCG64DXSM",
+    "numpy.random.Philox",
+    "numpy.random.SFC64",
+    "numpy.random.MT19937",
+}
 
 #: synchronous calls that stall the event loop when awaited around
 _BLOCKING_CALLS = {
@@ -61,6 +72,24 @@ def _coroutine_nodes(tree: ast.Module) -> set[int]:
             for child in ast.walk(node):
                 scoped.add(id(child))
     return scoped
+
+
+def _function_scoped_nodes(tree: ast.Module) -> set[int]:
+    """Ids of every AST node enclosed in a function body."""
+    scoped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for child in ast.walk(node):
+                scoped.add(id(child))
+    return scoped
+
+
+def _seed_arguments(node: ast.Call) -> Iterator[ast.expr]:
+    """The expressions a RNG constructor call derives its state from."""
+    yield from node.args
+    for keyword in node.keywords:
+        if keyword.arg in (None, "seed", "entropy"):
+            yield keyword.value
 
 
 @register_rule

@@ -94,10 +94,12 @@ class ErrorThresholds:
     t2: float = 0.01
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.t1 <= 1.0):
-            raise ValueError(f"t1 must be in (0, 1], got {self.t1}")
+        # t2 first: ``from_t2`` derives t1 from it, so a bad t2 is the
+        # root cause whenever both are out of range
         if not (0.0 < self.t2 <= 1.0):
             raise ValueError(f"t2 must be in (0, 1], got {self.t2}")
+        if not (0.0 < self.t1 <= 1.0):
+            raise ValueError(f"t1 must be in (0, 1], got {self.t1}")
 
     @classmethod
     def from_t2(cls, t2: float) -> "ErrorThresholds":

@@ -109,6 +109,20 @@ class ExperimentSpec:
         )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        # The validators the run itself would hit, called up front so a
+        # bad axis value fails here instead of mid-sweep.
+        for t2 in self.t2_thresholds:
+            ErrorThresholds.from_t2(t2)
+        for scale in self.scales:
+            if scale <= 0:
+                raise ValueError(f"scales must be positive, got {scale}")
+        if self.num_cores is not None and self.num_cores < 1:
+            raise ValueError(f"num_cores must be >= 1, got {self.num_cores}")
+        if self.max_accesses_per_core < 1:
+            raise ValueError(
+                f"max_accesses_per_core must be >= 1, "
+                f"got {self.max_accesses_per_core}"
+            )
         if not self.designs:
             raise ValueError("an experiment needs at least one design")
         # Fail fast, with did-you-mean suggestions, on unknown names.
@@ -146,10 +160,9 @@ class ExperimentSpec:
         settings, and the (bit-identical) replay ``engine``.  Two specs
         hash equal iff they enumerate the same job units.
 
-        The digest is computed once per instance and memoized: the
-        planner and sweep hot paths hash the same spec repeatedly (for
-        cache probes, dedup, and logging), and the spec is frozen, so
-        re-serializing the full canonical form each call is pure waste.
+        The digest is computed once per instance and memoized: the spec
+        is frozen, so re-serializing the full canonical form on every
+        call (CLI headers, daemon events, reports) is pure waste.
         The memo rides along through ``pickle`` (it lives in the
         instance ``__dict__``), so worker processes inherit it too.
         """
@@ -175,7 +188,7 @@ class ExperimentSpec:
         The sweep pre-pruning seam the planner uses: a plan's Pareto
         recommendations replace the exhaustive ``designs`` (and
         optionally ``t2_thresholds``) axes, so the pruned experiment
-        evaluates only the configurations worth full-fidelity runs.
+        evaluates only the configurations on the plan's front.
         Everything else — workloads, scenarios, scales, seeds,
         execution settings — carries over unchanged.
         """

@@ -220,10 +220,8 @@ class ResultCache:
     (temp file + ``os.replace``), so concurrent sweeps sharing a cache
     directory never observe torn entries; unreadable or truncated
     entries are treated as misses.  ``get*`` count hits and misses in
-    :attr:`stats`; ``peek_many`` does not — the planner's speculative
-    surrogate probes must not skew ``--expect-cached`` accounting.
-    Any other file in a shard (e.g. the per-shard index an older
-    version kept) is ignored.
+    :attr:`stats`.  Any other file in a shard (e.g. the per-shard index
+    an older version kept) is ignored.
     """
 
     def __init__(self, cache_dir: str | Path) -> None:
@@ -255,18 +253,6 @@ class ResultCache:
         self.stats.bytes_read += len(data)
         return value
 
-    def _read_many(self, keys: Iterable[str], count: bool) -> dict[str, Any]:
-        results: dict[str, Any] = {}
-        for key in keys:
-            value = self._load(key)
-            if value is not _MISS:
-                results[key] = value
-            elif count:
-                self.stats.misses += 1
-        if count:
-            self.stats.hits += len(results)
-        return results
-
     def get(self, key: str, default: Any = None) -> Any:
         """Return the cached value for ``key`` (counted), or ``default``."""
         return self.get_many([key]).get(key, default)
@@ -276,11 +262,15 @@ class ResultCache:
 
         Counts one hit per returned key and one miss per omitted key.
         """
-        return self._read_many(keys, count=True)
-
-    def peek_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Like :meth:`get_many`, but without hit/miss accounting."""
-        return self._read_many(keys, count=False)
+        results: dict[str, Any] = {}
+        for key in keys:
+            value = self._load(key)
+            if value is not _MISS:
+                results[key] = value
+            else:
+                self.stats.misses += 1
+        self.stats.hits += len(results)
+        return results
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` (atomic replace)."""
@@ -406,9 +396,9 @@ def resolve_result_cache(
 ) -> ResultCache | None:
     """Normalize a ``cache_dir`` argument into a :class:`ResultCache`.
 
-    Callers (``run_sweep``, the planner) accept either a directory or
-    an already-built cache; passing an instance through lets one cache
-    (and its stats) span many internal sweep calls.  ``None`` stays
+    Callers (``run_sweep``, the ablation harness) accept either a
+    directory or an already-built cache; passing an instance through
+    lets one cache (and its stats) span many calls.  ``None`` stays
     ``None`` (caching disabled).
     """
     if cache_dir is None:

@@ -312,10 +312,9 @@ def _timing_key(
 def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
     """Public name of :func:`_functional_key`.
 
-    The planner's surrogate model probes the result cache for
-    already-computed sweep points without running a sweep; going
-    through this helper guarantees its speculative keys can never
-    drift from the keys ``run_sweep`` itself reads and writes.
+    The exact key ``run_sweep`` reads and writes for this unit, for
+    callers that address cache entries directly (the pinned-digest
+    tests in ``tests/test_cache_keys.py``).
     """
     return _functional_key(point, design)
 
@@ -599,9 +598,8 @@ def run_sweep(
     re-executes nothing (``result.stats.executed == 0``).
 
     ``cache_dir`` may also be an already-built
-    :class:`~repro.harness.cache.ResultCache` — the planner passes one
-    instance through every internal sweep so its stats span the whole
-    plan.
+    :class:`~repro.harness.cache.ResultCache` — the ``repro serve``
+    daemon passes its one shared, locked cache to every client's sweep.
 
     ``trace_store`` selects the memory-mapped composed-trace store
     (see :func:`repro.trace.store.resolve_trace_store`): by default a

@@ -1,21 +1,19 @@
-"""Cost-model-guided design planner.
+"""Design planner: exhaustive search plus a Pareto filter.
 
-Searches the :class:`~repro.designs.DesignSpec` parameter space for
-configurations optimizing a target metric ("minimize DRAM traffic
-subject to an output-error budget") via multi-fidelity successive
-halving plus Pareto-front selection, instead of the exhaustive
-full-fidelity sweep grid.  Every candidate evaluation decomposes into
-ordinary sweep job units sharing the on-disk result cache, so plans
-compose with — and pre-prune — sweeps and experiments of the same
-configurations.  Exposed on the CLI as ``repro plan``.
+Evaluates every configuration of a :class:`~repro.designs.DesignSpec`
+parameter space ("minimize DRAM traffic subject to an output-error
+budget") in one full-fidelity sweep, drops the candidates that violate
+a constraint, and returns the Pareto front ordered by the objective.
+The evaluations are ordinary sweep job units sharing the on-disk
+result cache, so plans compose with — and pre-prune — sweeps and
+experiments of the same configurations.  Exposed on the CLI as
+``repro plan``.
 """
 
-from .engine import CandidateOutcome, PlanResult, PlanStats, RungResult, run_plan
-from .halving import Rung, rank_candidates, rung_schedule
-from .pareto import metric_matrix, nondominated_mask, nondominated_rank
+from .engine import CandidateOutcome, PlanResult, PlanStats, run_plan
+from .pareto import metric_matrix, nondominated_mask
 from .space import Candidate, enumerate_candidates
 from .spec import AVR_TOGGLEABLE, MAXIMIZE, METRICS, Constraint, PlanSpec
-from .surrogate import Surrogate, candidate_features
 
 __all__ = [
     "AVR_TOGGLEABLE",
@@ -27,15 +25,8 @@ __all__ = [
     "PlanResult",
     "PlanSpec",
     "PlanStats",
-    "Rung",
-    "RungResult",
-    "Surrogate",
-    "candidate_features",
     "enumerate_candidates",
     "metric_matrix",
     "nondominated_mask",
-    "nondominated_rank",
-    "rank_candidates",
     "run_plan",
-    "rung_schedule",
 ]

@@ -1,8 +1,8 @@
 """Non-dominated sorting over candidate metric vectors.
 
-Pure numpy, deterministic, O(n^2) pairwise domination — plan spaces
-are small by construction (the whole point of the planner is to keep
-the evaluated set small), so clarity wins over asymptotics.
+Pure numpy, deterministic, O(n^2) pairwise domination — a plan space
+is a handful to a few dozen candidates, so clarity wins over
+asymptotics.
 
 Direction handling: metrics named in :data:`repro.planner.spec.MAXIMIZE`
 (compression ratio) are negated into minimization space once, so the
@@ -16,7 +16,7 @@ import numpy as np
 
 from .spec import MAXIMIZE
 
-__all__ = ["metric_matrix", "nondominated_mask", "nondominated_rank"]
+__all__ = ["metric_matrix", "nondominated_mask"]
 
 
 def metric_matrix(
@@ -26,7 +26,7 @@ def metric_matrix(
 
     Returns an ``(n_candidates, n_metrics)`` float64 matrix with
     maximize-direction columns negated, ready for the domination
-    kernels below.
+    kernel below.
     """
     matrix = np.empty((len(metric_rows), len(metrics)), dtype=np.float64)
     for j, metric in enumerate(metrics):
@@ -54,22 +54,3 @@ def nondominated_mask(values: np.ndarray) -> np.ndarray:
     dominates = leq & lt
     return ~dominates.any(axis=0)
 
-
-def nondominated_rank(values: np.ndarray) -> np.ndarray:
-    """Pareto rank of every row: 0 = front, 1 = front once peeled, ...
-
-    The halving loop promotes by ``(rank, objective)`` so rung
-    survivors cover the whole emerging front instead of only the
-    scalar-objective winners — that is what lets a budgeted plan
-    recover the exhaustive grid's front.
-    """
-    n = values.shape[0]
-    ranks = np.full(n, -1, dtype=np.int64)
-    remaining = np.arange(n)
-    rank = 0
-    while remaining.size:
-        front = nondominated_mask(values[remaining])
-        ranks[remaining[front]] = rank
-        remaining = remaining[~front]
-        rank += 1
-    return ranks

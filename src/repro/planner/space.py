@@ -11,9 +11,9 @@ on.
 
 A candidate's evaluation is *not* a new kind of job: it decomposes
 into exactly the sweep engine's functional/timing job units (see
-:meth:`Candidate.sweep_point`), so every probe the planner makes
-shares the on-disk result cache with ordinary sweeps and experiments
-of the same configurations.
+:meth:`Candidate.sweep_point`), so a plan shares the on-disk result
+cache with ordinary sweeps and experiments of the same
+configurations.
 """
 
 from __future__ import annotations
@@ -58,21 +58,20 @@ class Candidate:
             return self.design.name
         return f"{self.design.name} t2={self.t2:g}"
 
-    def sweep_point(self, spec: PlanSpec, fidelity: int) -> SweepPoint:
-        """The sweep grid point evaluating this candidate at ``fidelity``.
+    def sweep_point(self, spec: PlanSpec) -> SweepPoint:
+        """The sweep grid point evaluating this candidate.
 
-        ``fidelity`` is the trace budget in accesses per core — the
-        multi-fidelity knob.  Everything else (workload, scale, trace
-        seed, thresholds) comes from the plan spec and the candidate,
-        so the resulting job-unit cache keys are exactly the ones an
-        exhaustive sweep of the same configuration would use.
+        Workload, scale, trace seed and trace budget come from the plan
+        spec and the thresholds from the candidate, so the resulting
+        job-unit cache keys are exactly the ones an ordinary sweep of
+        the same configuration uses.
         """
         return SweepPoint(
             workload=spec.workload,
             scale=spec.scale,
             seed=spec.trace_seed,
             thresholds=self.thresholds(),
-            max_accesses_per_core=fidelity,
+            max_accesses_per_core=spec.max_accesses_per_core,
         )
 
 

@@ -3,11 +3,10 @@
 A :class:`PlanSpec` describes everything a planning run needs — the
 candidate :class:`~repro.designs.DesignSpec` parameter space (base
 designs x thresholds scales x T2 overrides x compression widths x AVR
-option toggles), the objective and constraints, the full-fidelity
-evaluation budget, and the fidelity ladder the successive-halving loop
-climbs — as a frozen value that round-trips through TOML/JSON and
-hashes stably (:meth:`PlanSpec.content_hash`), mirroring
-:class:`~repro.experiment.ExperimentSpec`.
+option toggles), the objective and constraints, and the workload point
+every candidate is evaluated at — as a frozen value that round-trips
+through TOML/JSON and hashes stably (:meth:`PlanSpec.content_hash`),
+mirroring :class:`~repro.experiment.ExperimentSpec`.
 
 Objectives and constraints name *metrics*: quantities the sweep
 engine's :class:`~repro.harness.runner.WorkloadEvaluation` already
@@ -25,7 +24,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from ..designs import resolve_designs
+from ..common.types import ErrorThresholds
+from ..designs import derive_design, resolve_designs
 from ..harness.cache import content_key
 from ..workloads import WORKLOADS
 
@@ -52,8 +52,7 @@ class Constraint:
 
     Parsed from the compact text form the CLI and spec files use
     (``"error<=0.05"``); a candidate violating any constraint is
-    infeasible — it is ranked behind every feasible candidate during
-    halving and excluded from the final Pareto front.
+    infeasible and excluded from the Pareto front.
     """
 
     metric: str
@@ -97,7 +96,7 @@ class Constraint:
 
 @dataclass(frozen=True)
 class PlanSpec:
-    """One planning run: search space x objective x budget x fidelity.
+    """One planning run: search space x objective x workload point.
 
     Every field is a plain scalar or tuple (like
     :class:`~repro.experiment.ExperimentSpec`), so specs are hashable,
@@ -132,26 +131,11 @@ class PlanSpec:
     constraints: tuple[str, ...] = ()
     #: metrics spanning the final Pareto front
     pareto_metrics: tuple[str, ...] = ("traffic", "error", "compression")
-    #: max candidates promoted to full fidelity; 0 = unbounded, which
-    #: degenerates to the exhaustive grid (every candidate evaluated at
-    #: full fidelity — the equivalence anchor the tests pin)
-    budget: int = 0
-    #: halving factor between rungs (survivors and fidelity both)
-    eta: int = 2
-    #: accesses/core at the lowest rung; 0 derives it from the ladder
-    min_fidelity: int = 0
-    #: cap on rung-0 candidates; 0 = all.  When the space is larger,
-    #: the surrogate model (or, lacking data, a seeded shuffle) picks
-    #: which candidates enter the race at all.
-    initial_candidates: int = 0
-    #: planner RNG seed (rung sampling; threaded into every stochastic
-    #: choice — planning is deterministic given the spec and this seed)
-    seed: int = 0
     #: workload size multiplier
     scale: float = 1.0
     #: trace-jitter seed of every candidate evaluation
     trace_seed: int = 0
-    #: full-fidelity trace accesses per core (the final rung)
+    #: trace accesses per core of every candidate evaluation
     max_accesses_per_core: int = 50_000
     #: simulated cores; None = 8
     num_cores: int | None = None
@@ -188,6 +172,19 @@ class PlanSpec:
         resolve_designs(self.designs)  # fail fast with suggestions
         if not self.thresholds_scales:
             raise ValueError("a plan needs at least one thresholds_scale")
+        # The validators the run itself would hit, called up front so a
+        # bad axis value fails here instead of mid-sweep.
+        for t2 in self.t2_thresholds:
+            ErrorThresholds.from_t2(t2)
+        for base in self.designs:
+            for scale in self.thresholds_scales:
+                derive_design(base, thresholds_scale=scale)
+            for width in self.approx_line_bytes:
+                derive_design(base, approx_line_bytes=width)
+        if self.scale <= 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+        if self.num_cores is not None and self.num_cores < 1:
+            raise ValueError(f"num_cores must be >= 1, got {self.num_cores}")
         if self.objective not in METRICS:
             raise ValueError(
                 f"unknown objective {self.objective!r}; expected one of {METRICS}"
@@ -207,11 +204,6 @@ class PlanSpec:
                 )
         for text in self.constraints:
             Constraint.parse(text)
-        if self.eta < 2:
-            raise ValueError(f"eta must be >= 2, got {self.eta}")
-        if self.budget < 0 or self.min_fidelity < 0 or self.initial_candidates < 0:
-            raise ValueError("budget, min_fidelity and initial_candidates "
-                             "must be >= 0 (0 = unbounded/derived/all)")
         if self.max_accesses_per_core < 1:
             raise ValueError("max_accesses_per_core must be >= 1")
         if self.jobs < 1:

@@ -71,10 +71,6 @@ class LockedResultCache(ResultCache):
         with self._lock:
             return self._inner.get_many(keys)
 
-    def peek_many(self, keys: Any) -> dict[str, Any]:
-        with self._lock:
-            return self._inner.peek_many(keys)
-
     def put_many(self, items: Any) -> None:
         with self._lock:
             self._inner.put_many(items)
@@ -163,6 +159,10 @@ class JobHandle(JobExecutor):
         """No-op: the scheduler owns the pool, not the handle."""
 
 
+def _start_worker() -> None:
+    """No-op unit whose submission makes the pool start its workers."""
+
+
 class UnitScheduler:
     """The daemon's shared executor: dedup, priorities, fair share."""
 
@@ -171,6 +171,12 @@ class UnitScheduler:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self._pool = ProcessPoolExecutor(max_workers=workers)
+        # Start the workers now, before the daemon listens: a
+        # fork-started pool forks every worker at its first submit, and
+        # a worker forked while a client is connected inherits that
+        # socket, so the client's close never reaches the daemon as EOF
+        # and its session lives on until the pool shuts down.
+        self._pool.submit(_start_worker).result()
         self._slots = workers
         #: re-entrant: ``add_done_callback`` may run ``_finish`` in the
         #: submitting thread when a pool future is already resolved

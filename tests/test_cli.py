@@ -75,6 +75,29 @@ def test_scenario_rejects_too_few_cores(capsys):
     assert "needs 4 cores" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--t2", "0"],
+    ["plan", "--scales", "-1"],
+    ["plan", "--scale", "0"],
+    ["plan", "--designs", "truncate", "--widths", "100"],
+    ["experiment", "{t2}"],
+    ["experiment", "{scales}"],
+])
+def test_invalid_spec_axes_exit_2(argv, tmp_path, capsys):
+    specs = {
+        "{t2}": 't2_thresholds = [0.0]\nworkloads = ["heat"]\n',
+        "{scales}": 'scales = [0.0]\nworkloads = ["heat"]\n',
+    }
+    if argv[-1] in specs:
+        path = tmp_path / "spec.toml"
+        path.write_text(specs[argv[-1]])
+        argv = [argv[0], str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_rejects_nonpositive_cores_and_accesses():
     for argv in (
         ["workload", "heat", "--cores", "0"],

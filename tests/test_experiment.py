@@ -39,6 +39,18 @@ class TestSpecConstruction:
         with pytest.raises(ValueError, match="jobs"):
             ExperimentSpec(jobs=0)
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"t2_thresholds": (0.0,)}, "t2 must be"),
+        ({"t2_thresholds": (1.5,)}, "t2 must be"),
+        ({"scales": (0.0,)}, "scales must be"),
+        ({"scales": (1.0, -0.5)}, "scales must be"),
+        ({"num_cores": 0}, "num_cores"),
+        ({"max_accesses_per_core": 0}, "max_accesses_per_core"),
+    ])
+    def test_rejects_invalid_axis_values(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(**{**SMALL, **overrides})
+
     def test_scenario_widens_machine(self):
         spec = ExperimentSpec(workloads=(), scenarios=("heat@4+lbm@4",))
         assert spec.resolved_cores() == 8

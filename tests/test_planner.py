@@ -1,10 +1,10 @@
 """Tests for the design-space planner (repro.planner).
 
-The anchors: an unbounded-budget plan *is* the exhaustive grid (same
-Pareto front, independently recomputed), planning is deterministic
-given (spec, seed), a budgeted plan meets the >=4x full-fidelity
-savings the benchmark advertises, and a warm re-plan executes zero
-sweep jobs because every probe shares the sweep engine's result cache.
+The anchors: a plan's front *is* the exhaustive grid's front
+(independently recomputed through a plain sweep), every candidate is
+evaluated in one sweep, planning is deterministic, and a warm re-plan
+executes zero sweep jobs because the plan shares the sweep engine's
+result cache.
 """
 
 from __future__ import annotations
@@ -23,15 +23,10 @@ from repro.planner import (
     Candidate,
     Constraint,
     PlanSpec,
-    Surrogate,
-    candidate_features,
     enumerate_candidates,
     metric_matrix,
     nondominated_mask,
-    nondominated_rank,
-    rank_candidates,
     run_plan,
-    rung_schedule,
 )
 
 #: micro search space every sweep-backed test shares (4 candidates)
@@ -48,43 +43,6 @@ MICRO = dict(
 
 
 # ----------------------------------------------------------------------
-# rung schedule (pure arithmetic)
-# ----------------------------------------------------------------------
-class TestRungSchedule:
-    def test_unbounded_budget_is_one_exhaustive_rung(self):
-        (rung,) = rung_schedule(8, budget=0, eta=2, full_fidelity=50_000)
-        assert rung.count == 8 and rung.fidelity == 50_000
-
-    def test_budget_covering_population_is_exhaustive(self):
-        (rung,) = rung_schedule(8, budget=8, eta=2, full_fidelity=50_000)
-        assert rung.count == 8 and rung.fidelity == 50_000
-
-    def test_counts_halve_to_budget_and_fidelity_climbs(self):
-        rungs = rung_schedule(16, budget=2, eta=2, full_fidelity=48_000)
-        assert [r.count for r in rungs] == [16, 8, 4, 2]
-        assert [r.fidelity for r in rungs] == [6_000, 12_000, 24_000, 48_000]
-        assert rungs[-1].fidelity == 48_000
-
-    def test_min_fidelity_floors_the_ladder(self):
-        rungs = rung_schedule(16, budget=2, eta=2, full_fidelity=48_000,
-                              min_fidelity=20_000)
-        assert [r.fidelity for r in rungs] == [20_000, 20_000, 24_000, 48_000]
-
-    def test_floor_never_exceeds_full_fidelity(self):
-        rungs = rung_schedule(4, budget=1, eta=2, full_fidelity=500)
-        assert all(r.fidelity == 500 for r in rungs)
-
-    def test_eta_three(self):
-        rungs = rung_schedule(9, budget=1, eta=3, full_fidelity=27_000)
-        assert [r.count for r in rungs] == [9, 3, 1]
-        assert [r.fidelity for r in rungs] == [3_000, 9_000, 27_000]
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            rung_schedule(0, budget=0, eta=2, full_fidelity=1_000)
-
-
-# ----------------------------------------------------------------------
 # Pareto kernels (pure numpy)
 # ----------------------------------------------------------------------
 class TestPareto:
@@ -96,11 +54,6 @@ class TestPareto:
         values = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
         assert nondominated_mask(values).tolist() == [True, True, False]
 
-    def test_rank_peels_fronts(self):
-        values = np.array([[1.0, 4.0], [4.0, 1.0], [2.0, 5.0], [5.0, 2.0],
-                           [6.0, 6.0]])
-        assert nondominated_rank(values).tolist() == [0, 0, 1, 1, 2]
-
     def test_metric_matrix_negates_maximize_metrics(self):
         rows = [{"traffic": 0.5, "compression": 4.0},
                 {"traffic": 0.6, "compression": 8.0}]
@@ -109,21 +62,6 @@ class TestPareto:
         assert matrix[1].tolist() == [0.6, -8.0]
         # higher compression must NOT be dominated by lower traffic alone
         assert nondominated_mask(matrix).all()
-
-    def test_rank_candidates_feasible_first_then_rank_then_objective(self):
-        rows = [
-            {"traffic": 0.2, "error": 0.5, "compression": 1.0},   # infeasible
-            {"traffic": 0.6, "error": 0.01, "compression": 1.0},  # front
-            {"traffic": 0.7, "error": 0.02, "compression": 1.0},  # dominated
-            {"traffic": 0.5, "error": 0.02, "compression": 1.0},  # front
-        ]
-        order = rank_candidates(
-            ["a", "b", "c", "d"], rows, "traffic",
-            (Constraint.parse("error<=0.1"),),
-            ("traffic", "error", "compression"),
-        )
-        assert order == [3, 1, 2, 0]
-
 
 # ----------------------------------------------------------------------
 # constraints
@@ -160,10 +98,19 @@ class TestPlanSpec:
             PlanSpec(objective="speed")
         with pytest.raises(ValueError, match="AVR toggle"):
             PlanSpec(avr_toggles=("enable_warp",))
-        with pytest.raises(ValueError, match="eta"):
-            PlanSpec(eta=1)
         with pytest.raises(ValueError, match="constraint"):
             PlanSpec(constraints=("error<0.05",))
+        # axis values the sweep would only reject mid-run
+        with pytest.raises(ValueError, match="t2 must be"):
+            PlanSpec(t2_thresholds=(0.0,))
+        with pytest.raises(ValueError, match="thresholds_scale must be"):
+            PlanSpec(thresholds_scales=(-1.0,))
+        with pytest.raises(ValueError, match="scale must be"):
+            PlanSpec(scale=0.0)
+        with pytest.raises(ValueError, match="approx_line_bytes"):
+            PlanSpec(designs=("truncate",), approx_line_bytes=(100,))
+        with pytest.raises(ValueError, match="num_cores"):
+            PlanSpec(num_cores=0)
 
     @pytest.mark.parametrize("suffix", [".toml", ".json"])
     def test_file_roundtrip_preserves_identity(self, tmp_path, suffix):
@@ -172,7 +119,6 @@ class TestPlanSpec:
             thresholds_scales=(0.5, 1.0), t2_thresholds=(0.01, 0.04),
             approx_line_bytes=(16, 32), avr_toggles=("enable_dbuf",),
             objective="energy", constraints=("error<=0.05",),
-            budget=4, eta=3, initial_candidates=6, seed=11,
             scale=0.5, max_accesses_per_core=3_000, num_cores=2,
         )
         path = spec.to_file(tmp_path / f"plan{suffix}")
@@ -186,6 +132,13 @@ class TestPlanSpec:
         with pytest.raises(ValueError, match="bogus"):
             PlanSpec.from_file(path)
 
+    @pytest.mark.parametrize(
+        "key", ["budget", "eta", "min_fidelity", "initial_candidates", "seed"]
+    )
+    def test_removed_search_knobs_are_unknown_keys(self, key):
+        with pytest.raises(ValueError, match="unknown plan spec keys"):
+            PlanSpec.from_mapping({"workload": "heat", key: 2})
+
     def test_identity_excludes_execution_fields(self):
         spec = PlanSpec(**MICRO)
         relabeled = dataclasses.replace(
@@ -194,7 +147,7 @@ class TestPlanSpec:
         )
         assert relabeled.content_hash() == spec.content_hash()
         assert dataclasses.replace(
-            spec, budget=3
+            spec, objective="energy"
         ).content_hash() != spec.content_hash()
 
     def test_content_hash_memoized_and_survives_pickle(self):
@@ -247,27 +200,6 @@ class TestEnumerate:
 
 
 # ----------------------------------------------------------------------
-# surrogate
-# ----------------------------------------------------------------------
-class TestSurrogate:
-    def test_underdetermined_fit_returns_none(self):
-        c = Candidate(design=get_design("AVR"), t2=0.01)
-        features = [candidate_features(c, 1_000, 2_000)]
-        assert Surrogate.fit(features, [0.5]) is None
-        assert Surrogate.fit([], []) is None
-
-    def test_fit_recovers_a_linear_function(self):
-        rng = np.random.default_rng(3)
-        coef = rng.normal(size=9)
-        features = [rng.normal(size=9) for _ in range(40)]
-        values = [float(f @ coef) for f in features]
-        model = Surrogate.fit(features, values)
-        assert model is not None and model.n_points == 40
-        probe = rng.normal(size=9)
-        assert model.predict(probe) == pytest.approx(float(probe @ coef))
-
-
-# ----------------------------------------------------------------------
 # end-to-end planning (sweep-backed, shared warm cache)
 # ----------------------------------------------------------------------
 class TestRunPlan:
@@ -275,12 +207,10 @@ class TestRunPlan:
     def cache_dir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("plan-cache")
 
-    def test_unbounded_budget_recovers_the_exhaustive_front(self, cache_dir):
-        spec = PlanSpec(**MICRO, budget=0, cache_dir=str(cache_dir))
+    def test_plan_front_is_the_exhaustive_front(self, cache_dir):
+        spec = PlanSpec(**MICRO, cache_dir=str(cache_dir))
         result = run_plan(spec)
-        assert len(result.rungs) == 1
-        assert result.rungs[0].fidelity == spec.max_accesses_per_core
-        assert result.stats.full_fidelity_evals == result.stats.candidates
+        assert len(result.outcomes) == result.stats.candidates == 4
 
         # Recompute the front independently through a plain sweep.
         candidates = enumerate_candidates(spec)
@@ -309,43 +239,49 @@ class TestRunPlan:
         expected = {c.key() for c, keep in zip(candidates, mask) if keep}
         assert {o.candidate.key() for o in result.front} == expected
 
-    def test_budgeted_plan_saves_4x_full_fidelity_evals(self, cache_dir):
-        spec = PlanSpec(**MICRO, budget=1, cache_dir=str(cache_dir))
+    def test_one_sweep_covers_every_design_and_t2(self, cache_dir, monkeypatch):
+        from repro.planner import engine
+
+        calls = []
+
+        def counting_sweep(sweep_spec, **kwargs):
+            calls.append(sweep_spec)
+            return run_sweep(sweep_spec, **kwargs)
+
+        monkeypatch.setattr(engine, "run_sweep", counting_sweep)
+        spec = PlanSpec(**{**MICRO, "t2_thresholds": (0.01, 0.05)},
+                        cache_dir=str(cache_dir))
         result = run_plan(spec)
-        assert [len(r.outcomes) for r in result.rungs] == [4, 2, 1]
-        assert result.stats.full_fidelity_evals == 1
-        assert result.stats.savings >= 4.0
-        assert result.stats.low_fidelity_evals == 6
-        # the survivor is the exhaustive traffic winner (front metrics
-        # at low fidelity suffice to steer promotion on this space)
-        assert result.recommended[0].metrics["traffic"] < 1.0
+        (sweep_spec,) = calls
+        assert len(sweep_spec.points()) == 2
+        assert len(sweep_spec.designs) == 5  # baseline + 4 designs
+        assert len(result.outcomes) == 8
+        assert {o.candidate.t2 for o in result.outcomes} == {0.01, 0.05}
 
     def test_planning_is_deterministic(self, cache_dir):
-        spec = PlanSpec(**MICRO, budget=1, seed=5, cache_dir=str(cache_dir))
+        spec = PlanSpec(**MICRO, cache_dir=str(cache_dir))
         first = run_plan(spec).to_mapping()
         second = run_plan(spec).to_mapping()
         assert first == second
 
     def test_warm_replan_executes_nothing(self, cache_dir):
-        spec = PlanSpec(**MICRO, budget=1, cache_dir=str(cache_dir))
-        result = run_plan(spec)  # cache warmed by the budgeted test
+        spec = PlanSpec(**MICRO, cache_dir=str(cache_dir))
+        result = run_plan(spec)  # cache warmed by the tests above
         assert result.stats.jobs_executed == 0
-        assert result.stats.full_fidelity_executed == 0
         assert result.stats.cache_misses == 0
-        # ... and the surrogate now has cached points to harvest
-        assert result.stats.surrogate_points > 0
+        assert result.stats.cache_hits > 0
 
     def test_constraints_gate_the_front(self, cache_dir):
-        spec = PlanSpec(**MICRO, budget=0, cache_dir=str(cache_dir),
+        spec = PlanSpec(**MICRO, cache_dir=str(cache_dir),
                         constraints=("error<=1e-9",))
         result = run_plan(spec)
         assert result.front == () and result.recommended == ()
-        assert all(not o.feasible for o in result.rungs[-1].outcomes)
+        assert all(not o.feasible for o in result.outcomes)
 
     def test_prune_experiment_narrows_the_grid(self, cache_dir):
         from repro.experiment import ExperimentSpec
 
-        spec = PlanSpec(**MICRO, budget=0, cache_dir=str(cache_dir))
+        spec = PlanSpec(**MICRO, cache_dir=str(cache_dir))
         result = run_plan(spec)
         exp = ExperimentSpec(
             workloads=("heat",),
@@ -363,20 +299,6 @@ class TestRunPlan:
 
         resolve_designs(pruned.designs)
 
-    def test_initial_candidates_cap_with_seeded_fallback(self, tmp_path):
-        # fresh cache: no surrogate data, so rung 0 uses the seeded
-        # shuffle; the plan stays a pure function of (spec, seed)
-        spec = PlanSpec(**MICRO, budget=1, initial_candidates=2, seed=3,
-                        cache_dir=str(tmp_path / "c"))
-        first = run_plan(spec)
-        assert [len(r.outcomes) for r in first.rungs] == [2, 1]
-        second = run_plan(spec)
-        # cache-state stats differ between the cold and warm run; the
-        # plan itself (rungs, promotions, front) must not
-        a, b = first.to_mapping(), second.to_mapping()
-        a.pop("stats"), b.pop("stats")
-        assert a == b
-
 
 # ----------------------------------------------------------------------
 # CLI
@@ -389,18 +311,19 @@ class TestCli:
     def _argv(self, cache_dir, *extra):
         return [
             "plan", "--workload", "heat", "--designs", "AVR", "truncate",
-            "--scales", "0.5", "1.0", "--t2", "0.01", "--budget", "1",
+            "--scales", "0.5", "1.0", "--t2", "0.01",
             "--scale", "0.12", "--accesses", "2000", "--cores", "2",
             "--cache-dir", str(cache_dir), *extra,
         ]
 
-    def test_plan_command_prints_front_and_savings(self, cache_dir, capsys):
+    def test_plan_command_prints_front(self, cache_dir, capsys):
         from repro.__main__ import main
 
         assert main(self._argv(cache_dir)) == 0
         out = capsys.readouterr().out
+        assert "4 candidate(s) on heat" in out
         assert "Pareto front" in out
-        assert "4.0x fewer full evals" in out
+        assert "job(s) executed" in out
 
     def test_expect_cached_contract(self, cache_dir, capsys):
         from repro.__main__ import main
@@ -411,19 +334,20 @@ class TestCli:
         payload = capsys.readouterr().out
         start = payload.index("{")
         report = json.loads(payload[start:])
-        assert report["stats"]["savings"] >= 4.0
-        assert [r["fidelity"] for r in report["rungs"]][-1] == 2000
+        assert report["candidates"] == 4
+        assert report["stats"]["jobs_executed"] == 0
+        assert report["front"] and report["recommended"]
         assert json_path is None
 
     def test_spec_file_with_overrides(self, cache_dir, tmp_path, capsys):
         from repro.__main__ import main
 
-        spec = PlanSpec(**MICRO, budget=0)
+        spec = PlanSpec(**MICRO)
         path = spec.to_file(tmp_path / "plan.toml")
-        code = main(["plan", str(path), "--budget", "1",
+        code = main(["plan", str(path), "--objective", "energy",
                      "--cache-dir", str(cache_dir)])
         assert code == 0
-        assert "budget 1" in capsys.readouterr().out
+        assert "objective energy" in capsys.readouterr().out
 
     def test_bad_constraint_exits_2(self, capsys):
         from repro.__main__ import main
@@ -431,3 +355,13 @@ class TestCli:
         code = main(["plan", "--constraint", "error<0.05"])
         assert code == 2
         assert "constraint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--budget", "--eta", "--initial",
+                                      "--plan-seed"])
+    def test_removed_search_flags_exit_2(self, flag, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

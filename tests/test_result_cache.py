@@ -78,14 +78,6 @@ class TestResultCache:
         assert probe.stats.hits == len(keys)
         assert probe.stats.misses == len(absent)
 
-    def test_peek_many_is_stats_neutral(self, tmp_path):
-        keys = fill(ResultCache(tmp_path), 2)
-        probe = ResultCache(tmp_path)
-        found = probe.peek_many(keys + [key_of("nope")])
-        assert sorted(found) == sorted(keys)
-        assert probe.stats.hits == 0
-        assert probe.stats.misses == 0
-
     def test_keys_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)
         keys = fill(cache, 4)

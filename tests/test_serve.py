@@ -322,13 +322,51 @@ class TestDaemonEndToEnd:
             outcome = survivor.wait(survivor.submit(SPEC_A))
         assert outcome["result"]["experiment"] == "serve-a"
 
+    def test_connections_open_while_pool_works_still_close(self, daemon):
+        # Both connections are open while the pool runs its first units;
+        # a worker forked at that point would inherit their sockets and
+        # the daemon would never see either client's close.
+        idle = ServeClient(port=daemon.port).connect()
+        with ServeClient(port=daemon.port) as client:
+            client.wait(client.submit(SPEC_A))
+        idle.close()
+        deadline = time.monotonic() + 30
+        while daemon.sessions and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not daemon.sessions
+
     def test_bad_spec_reports_error_without_closing_session(self, daemon):
         with ServeClient(port=daemon.port) as client:
             with pytest.raises(ServeError, match="unknown experiment"):
                 client.submit({"name": "bad", "bogus_key": 1})
+            # axis values the sweep would only reject mid-run are
+            # refused at submit time
+            with pytest.raises(ServeError, match="t2 must be"):
+                client.submit({**SPEC_A, "t2_thresholds": [0.0]})
+            with pytest.raises(ServeError, match="scales must be"):
+                client.submit({**SPEC_A, "scales": [0.0]})
+            with pytest.raises(ServeError, match="unknown plan spec keys"):
+                client.submit({"workload": "heat", "budget": 2}, kind="plan")
             # same connection still works
             outcome = client.wait(client.submit(SPEC_A))
         assert outcome["result"]["experiment"] == "serve-a"
+
+    def test_plan_matches_one_shot(self, daemon, tmp_path):
+        from repro.planner import PlanSpec, run_plan
+
+        spec = PlanSpec(
+            workload="heat", designs=("AVR", "truncate"),
+            thresholds_scales=(0.5, 1.0), t2_thresholds=(0.01,),
+            scale=0.12, max_accesses_per_core=2_000, num_cores=2,
+        )
+        one_shot = run_plan(spec, cache_dir=tmp_path / "one-shot-cache")
+        expected = _canonical(one_shot.to_mapping())
+        with ServeClient(port=daemon.port) as client:
+            served = client.wait(client.submit(spec.to_mapping(), kind="plan"))
+        result = _canonical(served["result"])
+        assert result["front"] == expected["front"]
+        assert result["recommended"] == expected["recommended"]
+        assert served["stats"]["jobs_executed"] > 0
 
     def test_execution_only_keys_are_stripped(self, daemon, tmp_path):
         poisoned = dict(SPEC_A)
